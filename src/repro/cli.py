@@ -10,10 +10,8 @@ Usage::
     python -m repro machines                  # calibrated machine specs
     python -m repro datasets [--samples 100]  # dataset statistics
 
-``run`` is a deprecated alias covering both ``bench`` and ``ablation``;
-it still works but prints a notice.  Reports (text + JSON) are written
-to ``bench_results/`` (override with ``REPRO_RESULTS_DIR``); scale via
-``--scale`` or ``REPRO_BENCH_SCALE``.
+Reports (text + JSON) are written to ``bench_results/`` (override with
+``REPRO_RESULTS_DIR``); scale via ``--scale`` or ``REPRO_BENCH_SCALE``.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bench import (
@@ -91,7 +89,7 @@ ABLATIONS: dict[str, tuple[Callable, str]] = {
     "ablation-nodeagg": (ablation_nodeagg, "node-aggregated wave fetch: leader wire reads + intra-node fan-out"),
 }
 
-# The union both the deprecated `run` spelling and `list` operate on.
+# Every experiment the CLI can regenerate.
 EXPERIMENTS: dict[str, tuple[Callable, str]] = {**BENCHES, **ABLATIONS}
 
 # Drivers that take no profile argument.
@@ -109,8 +107,7 @@ def _resolve(name: str, table: dict[str, tuple[Callable, str]]) -> Optional[str]
 
 
 def _run_experiments(names: list[str], table: dict, args: argparse.Namespace) -> int:
-    """The one experiment runner behind ``bench``, ``ablation``, and the
-    deprecated ``run`` spelling."""
+    """The one experiment runner behind ``bench`` and ``ablation``."""
     if args.scale:
         os.environ["REPRO_BENCH_SCALE"] = args.scale
     profile = current_profile()
@@ -171,10 +168,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
     return _run_experiments(args.names, ABLATIONS, args)
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    return _run_experiments(args.names, EXPERIMENTS, args)
 
 
 def _cmd_machines(_args: argparse.Namespace) -> int:
@@ -266,8 +259,6 @@ class Command:
     run: Callable[[argparse.Namespace], int]
     configure: Optional[Callable[[argparse.ArgumentParser], None]] = None
     aliases: tuple = ()
-    deprecated_aliases: tuple = ()
-    replacement_hint: str = ""
 
 
 COMMANDS: tuple[Command, ...] = (
@@ -283,15 +274,6 @@ COMMANDS: tuple[Command, ...] = (
         "run repo ablations ('serving' == 'ablation-serving')",
         _cmd_ablation,
         configure=lambda p: _add_run_flags(p, "ablation"),
-    ),
-    Command(
-        "run",
-        "(deprecated) run any experiment; use 'bench' or 'ablation'",
-        _cmd_run,
-        configure=lambda p: _add_run_flags(p, "experiment"),
-        deprecated_aliases=("run",),
-        replacement_hint="use 'python -m repro bench <name>' or "
-        "'python -m repro ablation <name>' instead",
     ),
     Command(
         "trace",
@@ -331,27 +313,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    deprecated: dict[str, Command] = {}
     for cmd in COMMANDS:
-        # A command whose *primary* name is deprecated (e.g. `run`) is
-        # registered under that spelling but flagged below.
-        spellings = (cmd.name,) + tuple(a for a in cmd.aliases if a != cmd.name)
-        p = sub.add_parser(
-            spellings[0], aliases=list(spellings[1:]), help=cmd.help
-        )
+        p = sub.add_parser(cmd.name, aliases=list(cmd.aliases), help=cmd.help)
         if cmd.configure is not None:
             cmd.configure(p)
         p.set_defaults(fn=cmd.run)
-        for alias in cmd.deprecated_aliases:
-            deprecated[alias] = cmd
 
     args = parser.parse_args(argv)
-    cmd = deprecated.get(args.command)
-    if cmd is not None:
-        print(
-            f"[deprecated] 'python -m repro {args.command}' — {cmd.replacement_hint}",
-            file=sys.stderr,
-        )
     return args.fn(args)
 
 

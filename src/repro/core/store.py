@@ -12,18 +12,27 @@ Construction (collective, via :meth:`DDStore.create`):
    resolved from ``config.framework`` (the paper's ``mpi-rma`` exposes
    the buffer through an RMA window).
 
-Training-time fetch (:meth:`DDStore.get_samples`): look the requested
-global ids up in the registry, copy local ones straight out of the own
-buffer, serve repeat remote ids from the optional hot-sample cache, and
-hand the rest to the :class:`~repro.dataplane.FetchPlanner`, which groups
-them by owner and coalesces adjacent byte ranges into the wire reads the
-transport executes — never touching the filesystem.  Reads normally stay
-inside the replica group; with :class:`~.config.ResilienceOptions`
-enabled, a read that times out is retried with exponential backoff
+Training-time fetch is one pipeline behind three entry points.
+:meth:`DDStore.get_samples` (row blobs, decoded) and
+:meth:`DDStore.get_batch_arena` (columnar bytes scattered into a batch
+arena) hand a *sink* for their byte format to one demand routine: look
+the global ids up in the registry, copy local ones straight out of the
+own buffer, serve repeat remote ids from the flat or tiered cache
+(promoting NVMe-resident ones), and hand the rest to the
+:class:`~repro.dataplane.FetchPlanner`, which groups them by owner and
+coalesces adjacent byte ranges into the wire reads the transport
+executes — never touching the filesystem.  :meth:`DDStore.prefetch_wave`
+wire-reads a wave of upcoming batches (per rank, or aggregated per node)
+and parks the payloads in the cache.  Every wire read goes through
+:meth:`DDStore._fetch_reads`: reads normally stay inside the replica
+group; with :class:`~.config.ResilienceOptions` enabled, a read that
+times out is retried with exponential backoff
 (:mod:`repro.dataplane.retry`) and — since chunk contents are identical
 across replica groups — can *fail over* to the same chunk's owner in
 another group, so one straggling or dark peer degrades throughput instead
-of stalling every consumer.
+of stalling every consumer.  Each call's stage waits, ``FetchStats``
+charges, spans and metrics go through one :class:`_FetchJob` and one
+accounting method (:meth:`DDStore._account`).
 
 The store itself holds *no* communication code: transports live in
 :mod:`repro.dataplane` and anything registered there is a valid
@@ -32,7 +41,7 @@ The store itself holds *no* communication code: transports live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Generator, Optional, Sequence
 
 import numpy as np
@@ -49,7 +58,7 @@ from ..dataplane import (
     node_coordinator,
 )
 from ..dataplane.transport import Transport
-from ..graphs import SAMPLE_ALLOCATIONS, AtomicGraph, BatchArena
+from ..graphs import SAMPLE_ALLOCATIONS, BatchArena
 from ..mpi import Comm
 from ..storage import SampleStats, decode_time, peek_header, scatter_time, unpack_graph
 from .chunking import ChunkLayout
@@ -65,7 +74,7 @@ from .registry import ChunkRegistry, ShapeTable
 
 __all__ = ["DDStore", "FetchStats", "FETCH_STAGES", "StoreClosedError"]
 
-#: The instrumented stages of one ``get_samples`` call, in pipeline order
+#: The instrumented stages of the fetch pipeline, in pipeline order
 #: ("queue" is the multi-tenant serving layer's DRR/admission wait before
 #: wire issue — zero on single-tenant stores; "retry" charges the backoff
 #: waits between fetch re-issues; "promote" is the tiered cache's
@@ -137,30 +146,8 @@ class FetchStats:
             )
 
     def counters(self) -> dict[str, int]:
-        """The integer counters as a dict (for the bench layer)."""
-        return dict(
-            n_local=self.n_local,
-            n_remote=self.n_remote,
-            bytes_local=self.bytes_local,
-            bytes_remote=self.bytes_remote,
-            n_get_calls=self.n_get_calls,
-            bytes_transferred=self.bytes_transferred,
-            n_cache_hits=self.n_cache_hits,
-            n_cache_misses=self.n_cache_misses,
-            n_cache_evictions=self.n_cache_evictions,
-            bytes_cache_hits=self.bytes_cache_hits,
-            n_timeouts=self.n_timeouts,
-            n_retries=self.n_retries,
-            n_failovers=self.n_failovers,
-            n_prefetch_waves=self.n_prefetch_waves,
-            n_prefetched=self.n_prefetched,
-            bytes_prefetched=self.bytes_prefetched,
-            n_node_waves=self.n_node_waves,
-            n_fanout=self.n_fanout,
-            bytes_fanout=self.bytes_fanout,
-            bytes_node_requested=self.bytes_node_requested,
-            bytes_node_wire=self.bytes_node_wire,
-        )
+        """The integer counters as a dict, in field order (for the bench layer)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.type == "int"}
 
     def latency_array(self) -> np.ndarray:
         return np.asarray(self.latencies, dtype=np.float64)
@@ -182,6 +169,200 @@ class FetchStats:
             self.add_stage(stage, seconds)
         for stage, seconds in other.prefetch_stage_seconds.items():
             self.add_prefetch_stage(stage, seconds)
+
+
+#: Wire-ladder counters: :meth:`DDStore._fetch_reads` charges them to
+#: :class:`FetchStats` as reads complete; jobs only publish them.
+_LADDER = ("n_timeouts", "n_retries", "n_failovers")
+#: The counters each kind of fetch call publishes, in publish order.
+_DEMAND_COUNTERS = (
+    "n_local", "n_remote", "bytes_local", "bytes_remote", "n_get_calls",
+    "bytes_transferred", "n_cache_hits", "n_cache_misses", "n_cache_evictions",
+    "bytes_cache_hits",
+) + _LADDER
+_WAVE_COUNTERS = (
+    "n_prefetch_waves", "n_prefetched", "n_promoted", "bytes_prefetched",
+    "n_get_calls", "bytes_transferred",
+) + _LADDER
+# FetchStats-named node counters, so the harness roll-up (which sums the
+# fetch/prefetch families) sees them.
+_NODE_WAVE_COUNTERS = _WAVE_COUNTERS + (
+    "n_node_waves", "n_fanout", "bytes_fanout", "bytes_node_requested",
+    "bytes_node_wire",
+)
+_STATS_COUNTERS = frozenset(FetchStats().counters()) - frozenset(_LADDER)
+#: FetchStats cache counter <- cumulative cache stat it is a delta of.
+_CACHE_DELTAS = (
+    ("n_cache_hits", "hits"), ("n_cache_misses", "misses"),
+    ("n_cache_evictions", "evictions"), ("bytes_cache_hits", "hit_bytes"),
+)
+
+
+def _inc(m, family: str, items, key: str = "counter", **labels) -> None:
+    """Increment ``family``'s nonzero counters, one series per item name."""
+    for name, val in items:
+        if val:
+            labels[key] = name
+            m.counter(family, **labels).inc(val)
+
+
+class _FetchJob:
+    """The accounting state of one fetch call.
+
+    Demand calls charge ``FetchStats.stage_seconds``; waves charge
+    ``prefetch_stage_seconds`` (wave time overlaps compute, so folding it
+    into the breakdown would double-charge it).  Charges are also kept per
+    call: with depth-k prefetch several calls interleave, so metric deltas
+    must come from this call's own charges, not a snapshot of the shared
+    dict.
+    """
+
+    __slots__ = (
+        "store", "stats", "engine", "tracing", "t_start", "prefetch", "stages", "counts", "_add"
+    )
+
+    def __init__(self, store: "DDStore", counters: tuple, prefetch: bool = False) -> None:
+        self.store = store
+        self.stats = stats = store.stats
+        self.engine = store.comm.engine
+        self.tracing = store.comm.communicator.world.obs.tracing
+        self.t_start = self.engine.now
+        self.prefetch = prefetch
+        self.stages: dict[str, float] = {}
+        self.counts = dict.fromkeys(counters, 0)
+        self._add = stats.add_prefetch_stage if prefetch else stats.add_stage
+
+    def charge(self, stage: str, seconds: float) -> None:
+        if seconds:
+            self._add(stage, seconds)
+            self.stages[stage] = self.stages.get(stage, 0.0) + seconds
+
+    def stage(self, stage: str, seconds: float, traced: bool = True, **args) -> Generator:
+        """Wait out ``seconds`` of ``stage``, charge it, and (``traced``)
+        record its ``store.<stage>`` span."""
+        start = self.engine.now
+        if seconds:
+            yield self.engine.timeout(seconds)
+        self.charge(stage, seconds)
+        if traced and self.tracing:
+            self.store._span("store." + stage, start, **args)
+
+    def fetch(self, plan, n_streams: int) -> Generator:
+        """Wire-read ``plan``; charges the wire stages and counts the reads."""
+        outcome, n_timeouts, n_retries, n_failovers = yield from self.store._fetch_reads(
+            plan.reads, n_streams
+        )
+        for stage, seconds in outcome.stage_seconds.items():
+            self.charge(stage, seconds)
+        counts = self.counts
+        counts["n_get_calls"] += plan.n_reads
+        counts["bytes_transferred"] += plan.total_bytes
+        counts["n_timeouts"] += n_timeouts
+        counts["n_retries"] += n_retries
+        counts["n_failovers"] += n_failovers
+        return outcome
+
+
+class _RowSink:
+    """Delivers whole packed blobs, decoded at the end (the row byte path)."""
+
+    column = False
+    span = "store.get_samples"
+
+    def __init__(self, machine, n: int, decode) -> None:
+        self.machine = machine
+        self.blobs: list[Optional[np.ndarray]] = [None] * n
+        self.decode = decode
+        self.result = None
+
+    def put(self, p: int, payload: np.ndarray, has_header: bool) -> None:
+        self.blobs[p] = payload.copy()
+        SAMPLE_ALLOCATIONS.bump()
+
+    def zero(self, p: int) -> None:
+        self.blobs[p] = np.zeros(0, dtype=np.uint8)
+
+    def wire(self, cache, plan, outcome, positions, idx, sizes, latencies) -> None:
+        DDStore._scatter(plan, outcome, self.blobs, latencies)
+        if cache.enabled:
+            for p in positions:
+                cache.put(int(idx[p]), self.blobs[p])
+
+    def finish(self, job: _FetchJob, sizes, latencies, workers: int) -> Generator:
+        """The "decode" stage; returns its CPU seconds."""
+        if self.decode == "raw":
+            self.result = self.blobs
+            return 0.0
+        dec = np.fromiter(
+            (decode_time(self.machine, int(s)) for s in sizes),
+            dtype=np.float64,
+            count=sizes.size,
+        )
+        yield from job.stage("decode", float(dec.sum()) / workers, n=int(sizes.size))
+        latencies += dec
+        if self.decode:
+            self.result = [unpack_graph(b) for b in self.blobs]
+            SAMPLE_ALLOCATIONS.bump(len(self.blobs))
+        else:
+            self.result = [SampleStats.from_blob(b) for b in self.blobs]
+        return float(dec.sum())
+
+
+class _ArenaSink:
+    """Scatters bytes straight into a :class:`BatchArena`'s field buffers
+    (the columnar byte path: no per-sample ndarray is ever allocated)."""
+
+    column = True
+    span = "store.get_batch"
+
+    def __init__(self, machine, arena: BatchArena, smap) -> None:
+        self.machine = machine
+        self.arena = arena
+        self.smap = smap
+        self.fields = tuple(arena.field_bytes[name] for name in BatchArena._FIELDS)
+        self.result = None
+
+    def put(self, p: int, payload: np.ndarray, has_header: bool) -> None:
+        # A whole blob scatters from byte 0 (the map skips the header bytes
+        # itself); a header-stripped column payload starts at sample offset
+        # 32 (the AGRF record header).
+        lo = 0 if has_header else 32
+        self.smap.scatter(p, lo, lo + int(payload.nbytes), payload, self.fields)
+
+    def zero(self, p: int) -> None:
+        pass
+
+    def wire(self, cache, plan, outcome, positions, idx, sizes, latencies) -> None:
+        read_lat = outcome.latencies
+        for r, (read, payload) in enumerate(zip(plan.reads, outcome.payloads)):
+            lat = float(read_lat[r]) if read_lat is not None else 0.0
+            for sl in read.slices:
+                p = sl.position
+                piece = payload[sl.read_offset : sl.read_offset + sl.nbytes]
+                self.smap.scatter(
+                    p, sl.sample_offset, sl.sample_offset + sl.nbytes, piece, self.fields
+                )
+                latencies[p] = max(latencies[p], lat)
+                if cache.enabled and sl.sample_offset == 0 and sl.nbytes == int(sizes[p]):
+                    # Whole sample in one slice: park its column bytes
+                    # (header stripped) for future arena batches.
+                    cache.put_columns(
+                        int(idx[p]),
+                        payload[sl.read_offset + 32 : sl.read_offset + sl.nbytes],
+                    )
+
+    def finish(self, job: _FetchJob, sizes, latencies, workers: int) -> Generator:
+        """The "scatter" stage (arena assembly, replacing decode)."""
+        arena = self.arena
+        arena.shift_edges()
+        nbytes = int(sizes.sum()) + int(arena.edge_index.nbytes)
+        wait = scatter_time(self.machine, nbytes, self.smap.n_segments) / workers
+        yield from job.stage(
+            "scatter", wait, n=int(sizes.size), n_segments=self.smap.n_segments
+        )
+        latencies += wait / sizes.size
+        self.result = latencies
+        return 0.0
 
 
 class DDStore:
@@ -304,21 +485,6 @@ class DDStore:
             dram_hit_Bps=self._local_copy_bw,
             now_fn=lambda: engine.now,
         )
-
-    def _publish_tier_metrics(self, m, track: int) -> None:
-        """Publish per-tier counter deltas to the ``ddstore.tier`` family
-        (labels: tier, counter, rank), snapshot-style like the cache stats."""
-        if not self._tiered:
-            return
-        counters = self.cache.tier_counters()
-        for key, value in counters.items():
-            delta = value - self._tier_base.get(key, 0)
-            if delta:
-                tier, counter = key.split(".", 1)
-                m.counter(
-                    "ddstore.tier", tier=tier, counter=counter, rank=track
-                ).inc(delta)
-        self._tier_base = counters
 
     # ------------------------------------------------------------------
     # construction
@@ -547,12 +713,16 @@ class DDStore:
         _, _, sizes = self.registry.locate_batch(idx)
         return int(sizes.sum())
 
-    def _local_buffer_view(self) -> np.ndarray:
-        return self.transport.local_buffer()
+    # ------------------------------------------------------------------
+    # the fetch pipeline: entry points
+    # ------------------------------------------------------------------
+    def _check_open(self, verb: str = "fetching") -> None:
+        if self._closed:
+            raise StoreClosedError(
+                "this DDStore handle has been closed/shut down; create a new "
+                f"store (or reshard) before {verb} samples"
+            )
 
-    # ------------------------------------------------------------------
-    # the data loader hot path
-    # ------------------------------------------------------------------
     def get_samples(
         self, indices: Sequence[int], decode: bool = True, n_workers: int = 1
     ) -> Generator:
@@ -569,313 +739,11 @@ class DDStore:
         performance sweeps), or raw packed ``np.uint8`` payloads when
         ``decode="raw"`` (no deserialisation charged; the resharding path).
         """
-        if self._closed:
-            raise StoreClosedError(
-                "this DDStore handle has been closed/shut down; create a new "
-                "store (or reshard) before fetching samples"
-            )
+        self._check_open()
         idx = np.asarray(list(indices), dtype=np.int64)
         if idx.size == 0:
             return []
-        engine = self.comm.engine
-        stats = self.stats
-        obs = self.comm.communicator.world.obs
-        track = self.comm.world_rank
-        # Per-call stage accounting: with depth-k prefetch several
-        # get_samples coroutines interleave, so metric deltas must come
-        # from this call's own charges, not a snapshot of the shared dict.
-        call_stages: dict[str, float] = {}
-
-        def charge(stage: str, seconds: float) -> None:
-            if seconds:
-                stats.add_stage(stage, seconds)
-                call_stages[stage] = call_stages.get(stage, 0.0) + seconds
-
-        t_start = engine.now
-        owners, offsets, sizes = self.registry.locate_batch(idx)
-        me = self.group_comm.rank
-        local_mask = owners == me
-
-        blobs: list[Optional[np.ndarray]] = [None] * idx.size
-        latencies = np.zeros(idx.size, dtype=np.float64)
-
-        # -- local samples: straight memcpy out of the own buffer ----------
-        local_positions = np.nonzero(local_mask)[0]
-        local_time = 0.0
-        if local_positions.size:
-            buf = self.transport.local_buffer()
-            for p in local_positions:
-                off, nb = int(offsets[p]), int(sizes[p])
-                blobs[p] = buf[off : off + nb].copy()
-            SAMPLE_ALLOCATIONS.bump(int(local_positions.size))
-            copy_times = self._local_copy_base + sizes[local_positions] / self._local_copy_bw
-            latencies[local_positions] = copy_times
-            local_time = float(copy_times.sum())
-
-        # -- remote samples: cache probe, then plan + transport fetch -------
-        remote_positions = np.nonzero(~local_mask)[0]
-        fetch_positions = remote_positions
-        cache_time = 0.0
-        promote_keys: list[int] = []
-        promote_positions: list[int] = []
-        if self.cache.enabled and remote_positions.size:
-            missed = []
-            if self._tiered:
-                for p in remote_positions:
-                    key = int(idx[p])
-                    hit = self.cache.fast_get(key, column=False)
-                    if hit is not None:
-                        payload, _, hit_cost = hit
-                        blobs[p] = payload.copy()
-                        SAMPLE_ALLOCATIONS.bump()
-                        latencies[p] = hit_cost
-                        cache_time += hit_cost
-                    elif self.cache.nvme_resident(key, column=False):
-                        promote_keys.append(key)
-                        promote_positions.append(int(p))
-                    else:
-                        self.cache.count_miss(column=False)
-                        missed.append(p)
-            else:
-                for p in remote_positions:
-                    entry = self.cache.get(int(idx[p]))
-                    if entry is None:
-                        missed.append(p)
-                        continue
-                    blobs[p] = entry.copy()
-                    SAMPLE_ALLOCATIONS.bump()
-                    # A hit still costs the DRAM copy out of the cache.
-                    hit_cost = self._local_copy_base + entry.nbytes / self._local_copy_bw
-                    latencies[p] = hit_cost
-                    cache_time += hit_cost
-            fetch_positions = np.asarray(missed, dtype=np.int64)
-
-        # -- tiered cache: batched NVMe→DRAM demand promotion ----------------
-        if promote_keys:
-            t_promote = engine.now
-            results, promote_wall = self.cache.promote_batch(
-                promote_keys, engine.now, column=False
-            )
-            if promote_wall:
-                yield engine.timeout(promote_wall)
-            charge("promote", promote_wall)
-            for key, p in zip(promote_keys, promote_positions):
-                payload, _ = results[key]
-                blobs[p] = payload.copy()
-                SAMPLE_ALLOCATIONS.bump()
-                latencies[p] = promote_wall
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.promote",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_promote,
-                    end=engine.now,
-                    n=len(promote_keys),
-                )
-
-        # Zero-size samples need no bytes on the wire, but they are still
-        # remote samples this call served — count them as such.
-        n_zero = 0
-        if fetch_positions.size:
-            empty = fetch_positions[sizes[fetch_positions] == 0]
-            for p in empty:
-                blobs[p] = np.zeros(0, dtype=np.uint8)
-            if empty.size:
-                n_zero = int(empty.size)
-                fetch_positions = fetch_positions[sizes[fetch_positions] > 0]
-
-        plan = None
-        d_timeouts = d_retries = d_failovers = 0
-        if fetch_positions.size:
-            plan = self.planner.plan(
-                owners[fetch_positions] + self._group_base,
-                offsets[fetch_positions],
-                sizes[fetch_positions],
-                positions=fetch_positions,
-            )
-            plan_s = _PLAN_BASE_S + _PLAN_S_PER_REQ * int(fetch_positions.size)
-            t_plan = engine.now
-            yield engine.timeout(plan_s)
-            charge("plan", plan_s)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.plan",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_plan,
-                    end=engine.now,
-                    n_reads=plan.n_reads,
-                )
-            t_fetch = engine.now
-            outcome, d_timeouts, d_retries, d_failovers = yield from self._fetch_reads(
-                plan.reads, n_streams=max(1, n_workers)
-            )
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.fetch",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_fetch,
-                    end=engine.now,
-                    n_reads=plan.n_reads,
-                    nbytes=plan.total_bytes,
-                )
-            self._scatter(plan, outcome, blobs, latencies)
-            for stage, seconds in outcome.stage_seconds.items():
-                charge(stage, seconds)
-            if self.cache.enabled:
-                for p in fetch_positions:
-                    self.cache.put(int(idx[p]), blobs[p])
-
-        if local_time:
-            local_wait = local_time / max(1, n_workers)
-            t_copy = engine.now
-            yield engine.timeout(local_wait)
-            charge("copy", local_wait)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.copy",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_copy,
-                    end=engine.now,
-                    n=int(local_positions.size),
-                )
-        if cache_time:
-            cache_wait = cache_time / max(1, n_workers)
-            t_cache = engine.now
-            yield engine.timeout(cache_wait)
-            charge("cache", cache_wait)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.cache",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_cache,
-                    end=engine.now,
-                )
-
-        # -- deserialise (CPU) ----------------------------------------------
-        if decode == "raw":
-            dec = np.zeros(idx.size)
-            graphs = blobs
-        else:
-            dec = np.fromiter(
-                (decode_time(self._machine, int(s)) for s in sizes),
-                dtype=np.float64,
-                count=idx.size,
-            )
-            decode_wait = float(dec.sum()) / max(1, n_workers)
-            t_decode = engine.now
-            yield engine.timeout(decode_wait)
-            charge("decode", decode_wait)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.decode",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_decode,
-                    end=engine.now,
-                    n=int(idx.size),
-                )
-            latencies += dec
-            if decode:
-                graphs = [unpack_graph(b) for b in blobs]
-                SAMPLE_ALLOCATIONS.bump(len(blobs))
-            else:
-                graphs = [SampleStats.from_blob(b) for b in blobs]
-
-        # -- bookkeeping ------------------------------------------------------
-        n_fetched = int(fetch_positions.size) if plan is not None else 0
-        n_remote_served = n_fetched + n_zero
-        bytes_local = int(sizes[local_positions].sum()) if local_positions.size else 0
-        bytes_remote = int(sizes[fetch_positions].sum()) if n_fetched else 0
-        stats.n_local += int(local_positions.size)
-        stats.n_remote += n_remote_served
-        stats.bytes_local += bytes_local
-        stats.bytes_remote += bytes_remote
-        if plan is not None:
-            stats.n_get_calls += plan.n_reads
-            stats.bytes_transferred += plan.total_bytes
-        # Cache counters accumulate as deltas against the last snapshot: the
-        # cache's own stats are cumulative and shared across stats resets.
-        cs = self.cache.stats.as_dict()
-        base = self._cache_base
-        d_hits = cs["hits"] - base["hits"]
-        d_misses = cs["misses"] - base["misses"]
-        d_evictions = cs["evictions"] - base["evictions"]
-        d_hit_bytes = cs["hit_bytes"] - base["hit_bytes"]
-        stats.n_cache_hits += d_hits
-        stats.n_cache_misses += d_misses
-        stats.n_cache_evictions += d_evictions
-        stats.bytes_cache_hits += d_hit_bytes
-        self._cache_base = cs
-        stats.fetch_time += engine.now - t_start - float(dec.sum())
-        stats.decode_time += float(dec.sum())
-        if self.record_latencies:
-            stats.latencies.extend(latencies.tolist())
-
-        m = obs.metrics
-        if m.enabled:
-            for cname, val in (
-                ("n_local", int(local_positions.size)),
-                ("n_remote", n_remote_served),
-                ("bytes_local", bytes_local),
-                ("bytes_remote", bytes_remote),
-                ("n_get_calls", plan.n_reads if plan is not None else 0),
-                ("bytes_transferred", plan.total_bytes if plan is not None else 0),
-                ("n_cache_hits", d_hits),
-                ("n_cache_misses", d_misses),
-                ("n_cache_evictions", d_evictions),
-                ("bytes_cache_hits", d_hit_bytes),
-                ("n_timeouts", d_timeouts),
-                ("n_retries", d_retries),
-                ("n_failovers", d_failovers),
-            ):
-                if val:
-                    m.counter(
-                        "ddstore.fetch",
-                        counter=cname,
-                        rank=track,
-                        generation=self.generation,
-                    ).inc(val)
-            for stage, seconds in call_stages.items():
-                m.counter(
-                    "ddstore.stage_seconds",
-                    stage=stage,
-                    rank=track,
-                    generation=self.generation,
-                ).inc(seconds)
-            self._publish_tier_metrics(m, track)
-            self._publish_tenant(
-                m,
-                track,
-                int(idx.size),
-                engine.now - t_start,
-                plan.total_bytes if plan is not None else 0,
-                call_stages.get("queue", 0.0),
-            )
-        if obs.tracing:
-            obs.tracer.record(
-                "store.get_samples",
-                cat="store",
-                track=track,
-                lane=1,
-                start=t_start,
-                end=engine.now,
-                n=int(idx.size),
-                n_local=int(local_positions.size),
-                n_remote=n_remote_served,
-                n_cache_hits=d_hits,
-                **({"tenant": self._tenant, "qos": self._qos} if self._tenant else {}),
-            )
+        graphs = yield from self._demand(idx, _RowSink(self._machine, idx.size, decode), n_workers)
         return graphs
 
     def get_batch_arena(
@@ -896,135 +764,105 @@ class DDStore:
         array; the batch itself is read out of ``arena``
         (``collate(arena=...)``).
         """
-        if self._closed:
-            raise StoreClosedError(
-                "this DDStore handle has been closed/shut down; create a new "
-                "store (or reshard) before fetching samples"
-            )
-        if self.registry.shapes is None:
+        self._check_open()
+        shapes = self.registry.shapes
+        if shapes is None:
             raise ValueError(
                 "get_batch_arena needs the columnar data plane: create the "
                 "store with DataPlaneOptions(columnar=True)"
             )
         idx = np.asarray(list(indices), dtype=np.int64)
-        engine = self.comm.engine
-        stats = self.stats
-        obs = self.comm.communicator.world.obs
-        track = self.comm.world_rank
-        call_stages: dict[str, float] = {}
-
-        def charge(stage: str, seconds: float) -> None:
-            if seconds:
-                stats.add_stage(stage, seconds)
-                call_stages[stage] = call_stages.get(stage, 0.0) + seconds
-
-        t_start = engine.now
-        shapes = self.registry.shapes
         sids, nn, ne = self.registry.shape_batch(idx)
         arena.reset(nn, ne, shapes.feature_dim, shapes.output_dim, sids)
         if idx.size == 0:
             return np.zeros(0, dtype=np.float64)
-        owners, offsets, sizes = self.registry.locate_batch(idx)
-        me = self.group_comm.rank
-        local_mask = owners == me
         smap = self.planner.plan_arena(nn, ne, shapes.feature_dim, shapes.output_dim)
-        fields = tuple(arena.field_bytes[name] for name in BatchArena._FIELDS)
+        latencies = yield from self._demand(idx, _ArenaSink(self._machine, arena, smap), n_workers)
+        return latencies
+
+    # ------------------------------------------------------------------
+    # the fetch pipeline: demand stages
+    # ------------------------------------------------------------------
+    def _demand(self, idx: np.ndarray, sink, n_workers: int) -> Generator:
+        """The demand fetch of ``idx`` into ``sink``; returns the sink's
+        result (graphs, stats or blobs; arena latencies).
+
+        One pass of the paper's §3 sequence: registry lookup, local copy,
+        cache probe (flat or tiered), NVMe promotion, plan, wire read
+        through the resilience ladder, the CPU waits (copy, cache, then
+        the sink's decode or scatter), and the call's accounting.  The
+        sink owns the byte format: it receives every sample's bytes and
+        parks wire payloads in the cache in its own layout.
+        """
+        job = _FetchJob(self, _DEMAND_COUNTERS)
+        cache = self.cache
+        tiered = self._tiered
+        column = sink.column
+        workers = max(1, n_workers)
+        copy_base, copy_bw = self._local_copy_base, self._local_copy_bw
+        owners, offsets, sizes = self.registry.locate_batch(idx)
+        local_mask = owners == self.group_comm.rank
         latencies = np.zeros(idx.size, dtype=np.float64)
 
-        # -- local samples: scatter straight out of the own buffer ----------
+        # -- local samples: straight out of the own buffer -----------------
         local_positions = np.nonzero(local_mask)[0]
         local_time = 0.0
         if local_positions.size:
             buf = self.transport.local_buffer()
             for p in local_positions:
-                off, nb = int(offsets[p]), int(sizes[p])
-                smap.scatter(int(p), 0, nb, buf[off : off + nb], fields)
-            copy_times = self._local_copy_base + sizes[local_positions] / self._local_copy_bw
+                off = int(offsets[p])
+                sink.put(int(p), buf[off : off + int(sizes[p])], True)
+            copy_times = copy_base + sizes[local_positions] / copy_bw
             latencies[local_positions] = copy_times
             local_time = float(copy_times.sum())
 
-        # -- remote samples: column-cache probe, then plan + fetch ----------
-        remote_positions = np.nonzero(~local_mask)[0]
-        fetch_positions = remote_positions
+        # -- remote samples: cache probe, NVMe promotion, zero-size ---------
+        fetch_positions = np.nonzero(~local_mask)[0]
         cache_time = 0.0
-        promote_keys: list[int] = []
-        promote_positions: list[int] = []
-        if self.cache.enabled and remote_positions.size:
+        promote: list[tuple[int, int]] = []
+        if cache.enabled and fetch_positions.size:
             missed = []
-            if self._tiered:
-                for p in remote_positions:
-                    key = int(idx[p])
-                    hit = self.cache.fast_get(key, column=True)
-                    if hit is not None:
-                        entry, has_header, hit_cost = hit
-                        if has_header:
-                            # Whole blob: scatter from byte 0 (the map
-                            # skips the header bytes itself).
-                            smap.scatter(int(p), 0, int(entry.nbytes), entry, fields)
-                        else:
-                            smap.scatter(
-                                int(p), 32, 32 + int(entry.nbytes), entry, fields
-                            )
-                        latencies[p] = hit_cost
-                        cache_time += hit_cost
-                    elif self.cache.nvme_resident(key, column=True):
-                        promote_keys.append(key)
-                        promote_positions.append(int(p))
-                    else:
-                        self.cache.count_miss(column=True)
-                        missed.append(p)
-            else:
-                for p in remote_positions:
-                    entry = self.cache.get_columns(int(idx[p]))
-                    if entry is None:
-                        missed.append(p)
-                        continue
-                    # Cached column payloads are header-stripped: their bytes
-                    # start at sample offset 32 (the AGRF record header).
-                    smap.scatter(int(p), 32, 32 + int(entry.nbytes), entry, fields)
-                    hit_cost = self._local_copy_base + entry.nbytes / self._local_copy_bw
+            for p in fetch_positions:
+                key = int(idx[p])
+                if tiered:
+                    hit = cache.fast_get(key, column=column)
+                else:
+                    entry = cache.get_columns(key) if column else cache.get(key)
+                    # A hit still costs the DRAM copy out of the cache.
+                    hit = entry if entry is None else (
+                        entry, not column, copy_base + entry.nbytes / copy_bw)
+                if hit is not None:
+                    payload, has_header, hit_cost = hit
+                    sink.put(int(p), payload, has_header)
                     latencies[p] = hit_cost
                     cache_time += hit_cost
-            fetch_positions = np.asarray(missed, dtype=np.int64)
-
-        # -- tiered cache: batched NVMe promotion, scattered zero-copy ------
-        if promote_keys:
-            t_promote = engine.now
-            results, promote_wall = self.cache.promote_batch(
-                promote_keys, engine.now, column=True
-            )
-            if promote_wall:
-                yield engine.timeout(promote_wall)
-            charge("promote", promote_wall)
-            for key, p in zip(promote_keys, promote_positions):
-                payload, has_header = results[key]
-                # NVMe shards scatter straight into the arena buffers —
-                # no per-sample ndarray is ever allocated on this path.
-                if has_header:
-                    smap.scatter(p, 0, int(payload.nbytes), payload, fields)
+                elif tiered and cache.nvme_resident(key, column=column):
+                    promote.append((key, int(p)))
                 else:
-                    smap.scatter(p, 32, 32 + int(payload.nbytes), payload, fields)
-                latencies[p] = promote_wall
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.promote",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_promote,
-                    end=engine.now,
-                    n=len(promote_keys),
-                )
-
+                    if tiered:
+                        cache.count_miss(column=column)
+                    missed.append(p)
+            fetch_positions = np.asarray(missed, dtype=np.int64)
+        if promote:
+            keys = [key for key, _ in promote]
+            results, wall = cache.promote_batch(keys, job.engine.now, column=column)
+            yield from job.stage("promote", wall, n=len(keys))
+            for key, p in promote:
+                payload, has_header = results[key]
+                sink.put(p, payload, has_header)
+                latencies[p] = wall
+        # Zero-size samples need no bytes on the wire, but they are still
+        # remote samples this call served — count them as such.
         n_zero = 0
         if fetch_positions.size:
             empty = fetch_positions[sizes[fetch_positions] == 0]
             if empty.size:
+                for p in empty:
+                    sink.zero(int(p))
                 n_zero = int(empty.size)
                 fetch_positions = fetch_positions[sizes[fetch_positions] > 0]
 
-        plan = None
-        d_timeouts = d_retries = d_failovers = 0
+        # -- plan + wire ----------------------------------------------------
         if fetch_positions.size:
             plan = self.planner.plan(
                 owners[fetch_positions] + self._group_base,
@@ -1033,196 +871,49 @@ class DDStore:
                 positions=fetch_positions,
             )
             plan_s = _PLAN_BASE_S + _PLAN_S_PER_REQ * int(fetch_positions.size)
-            t_plan = engine.now
-            yield engine.timeout(plan_s)
-            charge("plan", plan_s)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.plan",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_plan,
-                    end=engine.now,
-                    n_reads=plan.n_reads,
-                )
-            t_fetch = engine.now
-            outcome, d_timeouts, d_retries, d_failovers = yield from self._fetch_reads(
-                plan.reads, n_streams=max(1, n_workers)
-            )
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.fetch",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_fetch,
-                    end=engine.now,
-                    n_reads=plan.n_reads,
-                    nbytes=plan.total_bytes,
-                )
-            read_lat = outcome.latencies
-            for r, (read, payload) in enumerate(zip(plan.reads, outcome.payloads)):
-                lat = float(read_lat[r]) if read_lat is not None else 0.0
-                for sl in read.slices:
-                    piece = payload[sl.read_offset : sl.read_offset + sl.nbytes]
-                    smap.scatter(
-                        sl.position,
-                        sl.sample_offset,
-                        sl.sample_offset + sl.nbytes,
-                        piece,
-                        fields,
-                    )
-                    latencies[sl.position] = max(latencies[sl.position], lat)
-                    if (
-                        self.cache.enabled
-                        and sl.sample_offset == 0
-                        and sl.nbytes == int(sizes[sl.position])
-                    ):
-                        # Whole sample in one slice: park its column bytes
-                        # (header stripped) for future arena batches.
-                        self.cache.put_columns(
-                            int(idx[sl.position]),
-                            payload[sl.read_offset + 32 : sl.read_offset + sl.nbytes],
-                        )
-            for stage, seconds in outcome.stage_seconds.items():
-                charge(stage, seconds)
+            yield from job.stage("plan", plan_s, n_reads=plan.n_reads)
+            t_fetch = job.engine.now
+            outcome = yield from job.fetch(plan, workers)
+            if job.tracing:
+                self._span("store.fetch", t_fetch, n_reads=plan.n_reads, nbytes=plan.total_bytes)
+            sink.wire(cache, plan, outcome, fetch_positions, idx, sizes, latencies)
 
+        # -- CPU waits: copies, cache hits, then decode/scatter --------------
         if local_time:
-            local_wait = local_time / max(1, n_workers)
-            t_copy = engine.now
-            yield engine.timeout(local_wait)
-            charge("copy", local_wait)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.copy",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_copy,
-                    end=engine.now,
-                    n=int(local_positions.size),
-                )
+            yield from job.stage("copy", local_time / workers, n=int(local_positions.size))
         if cache_time:
-            cache_wait = cache_time / max(1, n_workers)
-            t_cache = engine.now
-            yield engine.timeout(cache_wait)
-            charge("cache", cache_wait)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.cache",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_cache,
-                    end=engine.now,
-                )
+            yield from job.stage("cache", cache_time / workers)
+        decode_s = yield from sink.finish(job, sizes, latencies, workers)
 
-        # -- arena assembly (replaces per-sample decode) --------------------
-        arena.shift_edges()
-        scatter_nbytes = int(sizes.sum()) + int(arena.edge_index.nbytes)
-        scatter_wait = scatter_time(
-            self._machine, scatter_nbytes, smap.n_segments
-        ) / max(1, n_workers)
-        t_scatter = engine.now
-        yield engine.timeout(scatter_wait)
-        charge("scatter", scatter_wait)
-        if obs.tracing:
-            obs.tracer.record(
-                "store.scatter",
-                cat="store.stage",
-                track=track,
-                lane=1,
-                start=t_scatter,
-                end=engine.now,
-                n=int(idx.size),
-                n_segments=smap.n_segments,
-            )
-        latencies += scatter_wait / idx.size
-
-        # -- bookkeeping ----------------------------------------------------
-        n_fetched = int(fetch_positions.size) if plan is not None else 0
-        n_remote_served = n_fetched + n_zero
-        bytes_local = int(sizes[local_positions].sum()) if local_positions.size else 0
-        bytes_remote = int(sizes[fetch_positions].sum()) if n_fetched else 0
-        stats.n_local += int(local_positions.size)
-        stats.n_remote += n_remote_served
-        stats.bytes_local += bytes_local
-        stats.bytes_remote += bytes_remote
-        if plan is not None:
-            stats.n_get_calls += plan.n_reads
-            stats.bytes_transferred += plan.total_bytes
-        cs = self.cache.stats.as_dict()
+        # -- bookkeeping -------------------------------------------------------
+        counts = job.counts
+        counts["n_local"] = int(local_positions.size)
+        counts["n_remote"] = int(fetch_positions.size) + n_zero
+        if local_positions.size:
+            counts["bytes_local"] = int(sizes[local_positions].sum())
+        if fetch_positions.size:
+            counts["bytes_remote"] = int(sizes[fetch_positions].sum())
+        # Cache counters accumulate as deltas against the last snapshot: the
+        # cache's own stats are cumulative and shared across stats resets.
+        cs = cache.stats.as_dict()
         base = self._cache_base
-        d_hits = cs["hits"] - base["hits"]
-        d_misses = cs["misses"] - base["misses"]
-        d_evictions = cs["evictions"] - base["evictions"]
-        d_hit_bytes = cs["hit_bytes"] - base["hit_bytes"]
-        stats.n_cache_hits += d_hits
-        stats.n_cache_misses += d_misses
-        stats.n_cache_evictions += d_evictions
-        stats.bytes_cache_hits += d_hit_bytes
+        for name, key in _CACHE_DELTAS:
+            counts[name] = cs[key] - base[key]
         self._cache_base = cs
-        stats.fetch_time += engine.now - t_start
+        stats = job.stats
+        stats.fetch_time += job.engine.now - job.t_start - decode_s
+        stats.decode_time += decode_s
         if self.record_latencies:
             stats.latencies.extend(latencies.tolist())
+        self._account(
+            job, sink.span, int(idx.size), n_local=counts["n_local"],
+            n_remote=counts["n_remote"], n_cache_hits=counts["n_cache_hits"],
+        )
+        return sink.result
 
-        m = obs.metrics
-        if m.enabled:
-            for cname, val in (
-                ("n_local", int(local_positions.size)),
-                ("n_remote", n_remote_served),
-                ("bytes_local", bytes_local),
-                ("bytes_remote", bytes_remote),
-                ("n_get_calls", plan.n_reads if plan is not None else 0),
-                ("bytes_transferred", plan.total_bytes if plan is not None else 0),
-                ("n_cache_hits", d_hits),
-                ("n_cache_misses", d_misses),
-                ("n_cache_evictions", d_evictions),
-                ("bytes_cache_hits", d_hit_bytes),
-                ("n_timeouts", d_timeouts),
-                ("n_retries", d_retries),
-                ("n_failovers", d_failovers),
-            ):
-                if val:
-                    m.counter(
-                        "ddstore.fetch",
-                        counter=cname,
-                        rank=track,
-                        generation=self.generation,
-                    ).inc(val)
-            for stage, seconds in call_stages.items():
-                m.counter(
-                    "ddstore.stage_seconds",
-                    stage=stage,
-                    rank=track,
-                    generation=self.generation,
-                ).inc(seconds)
-            self._publish_tier_metrics(m, track)
-            self._publish_tenant(
-                m,
-                track,
-                int(idx.size),
-                engine.now - t_start,
-                plan.total_bytes if plan is not None else 0,
-                call_stages.get("queue", 0.0),
-            )
-        if obs.tracing:
-            obs.tracer.record(
-                "store.get_batch",
-                cat="store",
-                track=track,
-                lane=1,
-                start=t_start,
-                end=engine.now,
-                n=int(idx.size),
-                n_local=int(local_positions.size),
-                n_remote=n_remote_served,
-                n_cache_hits=d_hits,
-                **({"tenant": self._tenant, "qos": self._qos} if self._tenant else {}),
-            )
-        return latencies
-
+    # ------------------------------------------------------------------
+    # the fetch pipeline: wave prefetch
+    # ------------------------------------------------------------------
     def prefetch_wave(
         self,
         batch_indices: Sequence[Sequence[int]],
@@ -1251,11 +942,7 @@ class DDStore:
         overlapping remote ranges across the node's ranks are fetched
         once by a per-target leader and fanned out intra-node.
         """
-        if self._closed:
-            raise StoreClosedError(
-                "this DDStore handle has been closed/shut down; create a new "
-                "store (or reshard) before prefetching samples"
-            )
+        self._check_open("prefetching")
         if not self.cache.enabled:
             return 0
         if (
@@ -1267,13 +954,8 @@ class DDStore:
                 batch_indices, n_workers, window
             )
             return n
-        engine = self.comm.engine
-        stats = self.stats
-        obs = self.comm.communicator.world.obs
-        track = self.comm.world_rank
+        job = _FetchJob(self, _WAVE_COUNTERS, prefetch=True)
         me = self.group_comm.rank
-        t_start = engine.now
-
         groups = []
         keys: list[int] = []
         stage_keys: list[int] = []
@@ -1288,22 +970,21 @@ class DDStore:
             want = []
             for p in range(idx.size):
                 key = int(idx[p])
-                if owners[p] == me or sizes[p] == 0 or key in seen:
-                    continue
-                if tiered:
-                    if self.cache.fast_resident(key):
-                        continue
-                    if self.cache.nvme_resident(key, column=columnar):
-                        # Resident one tier down: no wire read needed —
-                        # stage the bytes upward ahead of demand instead.
-                        seen.add(key)
-                        stage_keys.append(key)
-                        continue
-                elif key in self.cache:
+                if (
+                    owners[p] == me
+                    or sizes[p] == 0
+                    or key in seen
+                    or self._wave_resident(key)
+                ):
                     continue
                 seen.add(key)
-                want.append(p)
-                keys.append(key)
+                if tiered and self.cache.nvme_resident(key, column=columnar):
+                    # Resident one tier down: no wire read needed — stage
+                    # the bytes upward ahead of demand instead.
+                    stage_keys.append(key)
+                else:
+                    want.append(p)
+                    keys.append(key)
             if want:
                 w = np.asarray(want, dtype=np.int64)
                 groups.append(
@@ -1311,113 +992,71 @@ class DDStore:
                 )
         if not groups and not stage_keys:
             return 0
-
-        # -- tier-aware staging: lift NVMe-resident future samples ----------
-        n_promoted = 0
+        n_parked = 0
         if stage_keys:
-            t_stage = engine.now
-            n_promoted, stage_wall = self.cache.stage_up(
-                stage_keys, engine.now, column=columnar
-            )
-            if stage_wall:
-                yield engine.timeout(stage_wall)
-                stats.add_prefetch_stage("promote", stage_wall)
-            if obs.tracing and n_promoted:
-                obs.tracer.record(
-                    "store.promote",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_stage,
-                    end=engine.now,
-                    n=n_promoted,
-                )
-
-        plan = None
-        d_timeouts = d_retries = d_failovers = 0
-        wave_queue_wait = 0.0
+            n_parked = yield from self._stage_up(job, stage_keys, traced=True)
         if groups:
-            plan = self.planner.plan_batches(groups)
-            plan_s = _PLAN_BASE_S + _PLAN_S_PER_REQ * plan.n_requests
-            yield engine.timeout(plan_s)
-            stats.add_prefetch_stage("plan", plan_s)
-
             # One issuing stream per wave batch (times the per-batch worker
             # count): the wave replaces that many concurrent ``get_samples``
             # pipelines, so it gets the same software-path concurrency.
-            n_streams = max(1, n_workers) * len(groups)
-
-            outcome, d_timeouts, d_retries, d_failovers = yield from self._fetch_reads(
-                plan.reads, n_streams=n_streams
+            blobs = yield from self._wire_wave(
+                job, groups, max(1, n_workers) * len(groups), plan_stage=True
             )
-            wave_queue_wait = outcome.stage_seconds.get("queue", 0.0)
-            for stage, seconds in outcome.stage_seconds.items():
-                stats.add_prefetch_stage(stage, seconds)
-
-            blobs: list[Optional[np.ndarray]] = [None] * plan.n_requests
-            lat = np.zeros(plan.n_requests, dtype=np.float64)
-            self._scatter(plan, outcome, blobs, lat)
             for key, blob in zip(keys, blobs):
-                if columnar:
-                    # Arena-mode consumers scatter cache hits straight into
-                    # field buffers, so park the header-stripped column bytes.
-                    self.cache.put_columns(key, blob[32:])
-                else:
-                    self.cache.put(key, blob)
-            stats.n_get_calls += plan.n_reads
-            stats.bytes_transferred += plan.total_bytes
+                self._park_payload(key, blob, columnar)
+            n_parked += len(blobs)
+        return self._account(job, "store.prefetch_wave", n_parked, n_batches=len(groups))
 
-        n_wired = plan.n_requests if plan is not None else 0
-        wire_bytes = plan.total_bytes if plan is not None else 0
-        n_parked = n_wired + n_promoted
-        stats.n_prefetch_waves += 1
-        stats.n_prefetched += n_parked
-        stats.bytes_prefetched += wire_bytes
+    def _stage_up(self, job: "_FetchJob", keys: list[int], traced: bool) -> Generator:
+        """Lift NVMe-resident wave keys into the fast tiers (no wire read);
+        returns how many were promoted."""
+        n, wall = self.cache.stage_up(
+            keys, job.engine.now, column=self.config.dataplane.columnar
+        )
+        yield from job.stage("promote", wall, traced=traced and bool(n), n=n)
+        job.counts["n_promoted"] += n
+        return n
 
-        m = obs.metrics
-        if m.enabled:
-            for cname, val in (
-                ("n_prefetch_waves", 1),
-                ("n_prefetched", n_parked),
-                ("n_promoted", n_promoted),
-                ("bytes_prefetched", wire_bytes),
-                ("n_get_calls", plan.n_reads if plan is not None else 0),
-                ("bytes_transferred", wire_bytes),
-                ("n_timeouts", d_timeouts),
-                ("n_retries", d_retries),
-                ("n_failovers", d_failovers),
-            ):
-                if val:
-                    m.counter(
-                        "ddstore.prefetch",
-                        counter=cname,
-                        rank=track,
-                        generation=self.generation,
-                    ).inc(val)
-            self._publish_tier_metrics(m, track)
-            self._publish_tenant(
-                m,
-                track,
-                n_parked,
-                engine.now - t_start,
-                wire_bytes,
-                wave_queue_wait,
-            )
-        if obs.tracing:
-            obs.tracer.record(
-                "store.prefetch_wave",
-                cat="store",
-                track=track,
-                lane=1,
-                start=t_start,
-                end=engine.now,
-                n=n_parked,
-                n_reads=plan.n_reads if plan is not None else 0,
-                nbytes=wire_bytes,
-                n_batches=len(groups),
-                **({"tenant": self._tenant, "qos": self._qos} if self._tenant else {}),
-            )
-        return n_parked
+    def _wire_wave(
+        self, job: "_FetchJob", groups, n_streams: int, plan_stage: bool = False
+    ) -> Generator:
+        """Wire-read a wave's remote samples as one cross-batch plan.
+
+        ``groups`` holds one ``(targets, offsets, sizes)`` triple per
+        batch.  Returns each planned sample's payload in cache format —
+        header-stripped column bytes on the columnar plane, whole blobs
+        otherwise — for the caller to park or publish.  ``plan_stage``
+        charges the modelled plan CPU (node-aggregated waves charge their
+        node-scope plan instead).
+        """
+        plan = self.planner.plan_batches(groups)
+        if plan_stage:
+            plan_s = _PLAN_BASE_S + _PLAN_S_PER_REQ * plan.n_requests
+            yield from job.stage("plan", plan_s, traced=False)
+        outcome = yield from job.fetch(plan, n_streams)
+        blobs: list[Optional[np.ndarray]] = [None] * plan.n_requests
+        self._scatter(plan, outcome, blobs, np.zeros(plan.n_requests))
+        if self.config.dataplane.columnar:
+            return [blob[32:] for blob in blobs]
+        return blobs
+
+    def _locate(self, keys: list[int]):
+        """One ``(targets, offsets, sizes)`` wave group for ``keys``."""
+        owners, offsets, sizes = self.registry.locate_batch(np.asarray(keys, np.int64))
+        return owners + self._group_base, offsets, sizes
+
+    def _park_payload(self, key: int, blob, columnar: bool) -> None:
+        if columnar:
+            self.cache.put_columns(key, blob)
+        else:
+            self.cache.put(key, blob)
+
+    def _wave_resident(self, key: int) -> bool:
+        """Is ``key`` already servable from this rank's fast tiers (the
+        wave-prefetch skip test — no stats side effects)?"""
+        if self._tiered:
+            return self.cache.fast_resident(key)
+        return key in self.cache
 
     # -- node-aggregated wave fetch -----------------------------------------
     def _node_coordinator(self):
@@ -1511,12 +1150,6 @@ class DDStore:
                 return entry
         return None
 
-    def _park_payload(self, key: int, blob, columnar: bool) -> None:
-        if columnar:
-            self.cache.put_columns(key, blob)
-        else:
-            self.cache.put(key, blob)
-
     def _prefetch_wave_nodeagg(
         self, batch_indices, n_workers: int, window
     ) -> Generator:
@@ -1539,12 +1172,8 @@ class DDStore:
         4. if the wave was aborted mid-wait (live-reshard drain), fetch
            the unpublished residue over the normal per-rank wire path.
         """
-        engine = self.comm.engine
-        stats = self.stats
-        obs = self.comm.communicator.world.obs
-        track = self.comm.world_rank
+        job = _FetchJob(self, _NODE_WAVE_COUNTERS, prefetch=True)
         rank = self.comm.rank
-        t_start = engine.now
         columnar = self.config.dataplane.columnar
         coord = self._node_coordinator()
         key = (self.generation, window.epoch, window.wave)
@@ -1565,31 +1194,23 @@ class DDStore:
         # Modelled CPU of the node-scope merge: every rank recomputes the
         # full plan locally (that is what makes it communication-free).
         plan_s = _PLAN_BASE_S + _PLAN_S_PER_REQ * max(1, plan.n_union)
-        yield engine.timeout(plan_s)
-        stats.add_prefetch_stage("plan", plan_s)
+        yield from job.stage("plan", plan_s, traced=False)
 
         # -- leader duty -----------------------------------------------------
-        led = plan.led.get(rank, ())
         publish: dict[int, np.ndarray] = {}
         wire_keys: list[int] = []
-        for k in led:
+        for k in plan.led.get(rank, ()):
             blob = self._peek_cached_payload(k, columnar)
             if blob is not None:
                 publish[k] = blob
             else:
                 wire_keys.append(k)
-        n_promoted = 0
         if wire_keys and self._tiered:
             stage_keys = [
                 k for k in wire_keys if self.cache.nvme_resident(k, column=columnar)
             ]
             if stage_keys:
-                n_promoted, stage_wall = self.cache.stage_up(
-                    stage_keys, engine.now, column=columnar
-                )
-                if stage_wall:
-                    yield engine.timeout(stage_wall)
-                    stats.add_prefetch_stage("promote", stage_wall)
+                yield from self._stage_up(job, stage_keys, traced=False)
                 still = []
                 for k in wire_keys:
                     blob = self._peek_cached_payload(k, columnar)
@@ -1598,35 +1219,18 @@ class DDStore:
                     else:
                         still.append(k)
                 wire_keys = still
-        d_timeouts = d_retries = d_failovers = 0
-        wire_bytes = 0
-        n_reads = 0
         if wire_keys:
-            arr = np.asarray(wire_keys, np.int64)
-            owners, offsets, sizes = self.registry.locate_batch(arr)
-            wplan = self.planner.plan_batches(
-                [(owners + self._group_base, offsets, sizes)]
+            blobs = yield from self._wire_wave(
+                job,
+                [self._locate(wire_keys)],
+                max(1, n_workers) * max(1, len(batch_indices)),
             )
-            n_streams = max(1, n_workers) * max(1, len(batch_indices))
-            outcome, d_timeouts, d_retries, d_failovers = yield from self._fetch_reads(
-                wplan.reads, n_streams=n_streams
-            )
-            for stage, seconds in outcome.stage_seconds.items():
-                stats.add_prefetch_stage(stage, seconds)
-            blobs: list[Optional[np.ndarray]] = [None] * wplan.n_requests
-            self._scatter(wplan, outcome, blobs, np.zeros(wplan.n_requests))
-            for k, blob in zip(wire_keys, blobs):
-                publish[k] = blob[32:] if columnar else blob
-            wire_bytes = wplan.total_bytes
-            n_reads = wplan.n_reads
-            stats.n_get_calls += n_reads
-            stats.bytes_transferred += wire_bytes
+            publish.update(zip(wire_keys, blobs))
         coord.publish(key, rank, publish)
         led_bytes = sum(int(b.nbytes) for b in publish.values())
 
         # -- subscribe + fan in ---------------------------------------------
-        my_demand = plan.demand.get(rank, ())
-        need = [k for k in my_demand if not self._wave_resident(k)]
+        need = [k for k in plan.demand.get(rank, ()) if not self._wave_resident(k)]
         n_parked = 0
         for k in need:
             if plan.leader_of[k] == rank and k in publish:
@@ -1639,155 +1243,69 @@ class DDStore:
                 yield ev
         fan_keys = [k for k in sub if k in entry.blobs]
         residue = [k for k in sub if k not in entry.blobs]
-        fan_bytes = 0
+        fan_bytes = sum(int(entry.blobs[k].nbytes) for k in fan_keys)
         if fan_keys:
-            t_fan = engine.now
-            fan_bytes = sum(int(entry.blobs[k].nbytes) for k in fan_keys)
             fan_s = self._local_copy_base + fan_bytes / self._local_copy_bw
-            yield engine.timeout(fan_s)
-            stats.add_prefetch_stage("fanout", fan_s)
+            yield from job.stage(
+                "fanout", fan_s, n=len(fan_keys), nbytes=fan_bytes, **self._tenant_args()
+            )
             for k in fan_keys:
                 self._park_payload(k, entry.blobs[k], columnar)
             n_parked += len(fan_keys)
-            if obs.tracing:
-                obs.tracer.record(
-                    "store.fanout",
-                    cat="store.stage",
-                    track=track,
-                    lane=1,
-                    start=t_fan,
-                    end=engine.now,
-                    n=len(fan_keys),
-                    nbytes=fan_bytes,
-                    **(
-                        {"tenant": self._tenant, "qos": self._qos}
-                        if self._tenant
-                        else {}
-                    ),
-                )
         if residue:
             # Aborted leaders (drain fence): self-fetch over the normal
             # per-rank path — correct bytes, just without the savings.
-            arr = np.asarray(residue, np.int64)
-            owners, offsets, sizes = self.registry.locate_batch(arr)
-            rplan = self.planner.plan_batches(
-                [(owners + self._group_base, offsets, sizes)]
+            blobs = yield from self._wire_wave(
+                job, [self._locate(residue)], max(1, n_workers)
             )
-            outcome, r_t, r_r, r_f = yield from self._fetch_reads(
-                rplan.reads, n_streams=max(1, n_workers)
-            )
-            d_timeouts += r_t
-            d_retries += r_r
-            d_failovers += r_f
-            for stage, seconds in outcome.stage_seconds.items():
-                stats.add_prefetch_stage(stage, seconds)
-            blobs = [None] * rplan.n_requests
-            self._scatter(rplan, outcome, blobs, np.zeros(rplan.n_requests))
             for k, blob in zip(residue, blobs):
-                self._park_payload(k, blob[32:] if columnar else blob, columnar)
+                self._park_payload(k, blob, columnar)
             n_parked += len(residue)
-            wire_bytes += rplan.total_bytes
-            n_reads += rplan.n_reads
-            stats.n_get_calls += rplan.n_reads
-            stats.bytes_transferred += rplan.total_bytes
         coord.finish(key, rank)
 
         # -- accounting ------------------------------------------------------
+        counts = job.counts
         requested = plan.demand_bytes.get(rank, 0)
-        stats.n_prefetch_waves += 1
-        stats.n_prefetched += n_parked
-        stats.bytes_prefetched += wire_bytes
-        stats.n_node_waves += 1
-        stats.n_fanout += len(fan_keys)
-        stats.bytes_fanout += fan_bytes
-        stats.bytes_node_requested += requested
-        stats.bytes_node_wire += wire_bytes
+        wire_bytes = counts["bytes_transferred"]
+        counts.update(
+            n_node_waves=1,
+            n_fanout=len(fan_keys),
+            bytes_fanout=fan_bytes,
+            bytes_node_requested=requested,
+            bytes_node_wire=wire_bytes,
+        )
+        node = (
+            ("n_node_waves", 1),
+            ("requested_bytes", requested),
+            ("wire_bytes", wire_bytes),
+            ("wire_bytes_saved", fan_bytes),
+            ("fanout_bytes", fan_bytes),
+            ("n_fanout", len(fan_keys)),
+            ("n_leader_reads", counts["n_get_calls"]),
+            ("led_bytes", led_bytes),
+        )
+        return self._account(
+            job, "store.prefetch_wave", n_parked, node=node,
+            n_batches=len(batch_indices), nodeagg=1,
+        )
 
-        m = obs.metrics
-        if m.enabled:
-            for cname, val in (
-                ("n_prefetch_waves", 1),
-                ("n_prefetched", n_parked),
-                ("n_promoted", n_promoted),
-                ("bytes_prefetched", wire_bytes),
-                ("n_get_calls", n_reads),
-                ("bytes_transferred", wire_bytes),
-                ("n_timeouts", d_timeouts),
-                ("n_retries", d_retries),
-                ("n_failovers", d_failovers),
-                # FetchStats-named node counters, so the harness roll-up
-                # (which sums the fetch/prefetch families) sees them.
-                ("n_node_waves", 1),
-                ("n_fanout", len(fan_keys)),
-                ("bytes_fanout", fan_bytes),
-                ("bytes_node_requested", requested),
-                ("bytes_node_wire", wire_bytes),
-            ):
-                if val:
-                    m.counter(
-                        "ddstore.prefetch",
-                        counter=cname,
-                        rank=track,
-                        generation=self.generation,
-                    ).inc(val)
-            for cname, val in (
-                ("n_node_waves", 1),
-                ("requested_bytes", requested),
-                ("wire_bytes", wire_bytes),
-                ("wire_bytes_saved", fan_bytes),
-                ("fanout_bytes", fan_bytes),
-                ("n_fanout", len(fan_keys)),
-                ("n_leader_reads", n_reads),
-                ("led_bytes", led_bytes),
-            ):
-                if val:
-                    m.counter(
-                        "ddstore.node",
-                        counter=cname,
-                        rank=track,
-                        node=self._node_index,
-                        generation=self.generation,
-                    ).inc(val)
-            self._publish_tier_metrics(m, track)
-            self._publish_tenant(
-                m, track, n_parked, engine.now - t_start, wire_bytes, 0.0
-            )
-        if obs.tracing:
-            obs.tracer.record(
-                "store.prefetch_wave",
-                cat="store",
-                track=track,
-                lane=1,
-                start=t_start,
-                end=engine.now,
-                n=n_parked,
-                n_reads=n_reads,
-                nbytes=wire_bytes,
-                n_batches=len(batch_indices),
-                nodeagg=1,
-                **({"tenant": self._tenant, "qos": self._qos} if self._tenant else {}),
-            )
-        return n_parked
-
-    def _wave_resident(self, key: int) -> bool:
-        """Is ``key`` already servable from this rank's fast tiers (the
-        wave-prefetch skip test — no stats side effects)?"""
-        if self._tiered:
-            return self.cache.fast_resident(key)
-        return key in self.cache
-
+    # ------------------------------------------------------------------
+    # the fetch pipeline: wire issue
+    # ------------------------------------------------------------------
     def _fetch_reads(self, reads, n_streams: int) -> Generator:
         """Execute planned reads through the configured resilience ladder.
 
         The single wire-issue point shared by the demand path, the wave
-        prefetcher, and the arena path: with resilience enabled reads ride
-        the timeout/retry/failover machinery, otherwise they go straight
-        to the transport.  Session-scoped handles additionally pass the
-        reads through their :class:`~repro.serving.TenantLane` first —
-        the per-target DRR grant plus the per-tenant in-flight byte cap —
-        and charge the wait to the ``"queue"`` stage.  Returns
-        ``(outcome, n_timeouts, n_retries, n_failovers)`` with the
-        cumulative stats counters already updated.
+        prefetcher, and the reshard bulk path: with resilience enabled
+        reads ride the timeout/retry/failover machinery; otherwise they go
+        straight to the transport, and a read the transport reports as
+        timed out raises :class:`~repro.dataplane.FetchTimeoutError` (no
+        retry budget).  Session-scoped handles additionally pass the reads
+        through their :class:`~repro.serving.TenantLane` first — the
+        per-target DRR grant plus the per-tenant in-flight byte cap — and
+        charge the wait to the ``"queue"`` stage.  Returns ``(outcome,
+        n_timeouts, n_retries, n_failovers)`` with the cumulative stats
+        counters already updated.
         """
         lane = self._lane
         queue_wait = 0.0
@@ -1797,17 +1315,7 @@ class DDStore:
             yield from lane.acquire(reads)
             queue_wait = engine.now - t_queue
             if queue_wait:
-                obs = self.comm.communicator.world.obs
-                if obs.tracing:
-                    obs.tracer.record(
-                        "store.queue",
-                        cat="store.stage",
-                        track=self.comm.world_rank,
-                        lane=1,
-                        start=t_queue,
-                        end=engine.now,
-                        tenant=self._tenant,
-                    )
+                self._span("store.queue", t_queue, tenant=self._tenant)
         try:
             res = self.config.resilience
             if res.enabled:
@@ -1835,6 +1343,12 @@ class DDStore:
                 )
             else:
                 outcome = yield from self.transport.fetch(reads, n_streams=n_streams)
+                timed_out = outcome.timed_out
+                if timed_out is not None and timed_out.any():
+                    raise FetchTimeoutError(
+                        f"{int(timed_out.sum())} read(s) timed out "
+                        "(resilience disabled; no retry budget)"
+                    )
                 counters = (0, 0, 0)
         finally:
             if lane is not None:
@@ -1870,6 +1384,78 @@ class DDStore:
                     blobs[p][sl.sample_offset : sl.sample_offset + sl.nbytes] = piece
                 latencies[p] = max(latencies[p], lat)
 
+    # ------------------------------------------------------------------
+    # the fetch pipeline: accounting
+    # ------------------------------------------------------------------
+    def _tenant_args(self) -> dict:
+        return {"tenant": self._tenant, "qos": self._qos} if self._tenant else {}
+
+    def _span(self, name: str, start: float, cat: str = "store.stage", **args) -> None:
+        """Record a data-plane span on this rank's timeline, ending now."""
+        obs = self.comm.communicator.world.obs
+        if obs.tracing:
+            end = self.comm.engine.now
+            track = self.comm.world_rank
+            obs.tracer.record(name, cat=cat, track=track, lane=1, start=start, end=end, **args)
+
+    def _account(
+        self, job: "_FetchJob", span: str, n: int, node=(), **span_args
+    ) -> int:
+        """Publish one finished fetch call of ``n`` samples: its
+        :class:`FetchStats` counters, its ``ddstore.fetch`` (demand) or
+        ``ddstore.prefetch`` (wave) counters, the per-node, per-stage,
+        per-tier and per-tenant metric families, and its outer span.
+        Returns ``n``."""
+        counts = job.counts
+        family = "ddstore.fetch"
+        if job.prefetch:
+            family = "ddstore.prefetch"
+            wire_bytes = counts["bytes_transferred"]
+            counts.update(n_prefetch_waves=1, n_prefetched=n, bytes_prefetched=wire_bytes)
+            span_args.update(n_reads=counts["n_get_calls"], nbytes=wire_bytes)
+        totals = vars(job.stats)
+        for name, val in counts.items():
+            if val and name in _STATS_COUNTERS:
+                totals[name] += val
+        obs = self.comm.communicator.world.obs
+        m = obs.metrics
+        if m.enabled:
+            track = self.comm.world_rank
+            gen = self.generation
+            _inc(m, family, counts.items(), rank=track, generation=gen)
+            if node:
+                _inc(m, "ddstore.node", node, rank=track, node=self._node_index, generation=gen)
+            if not job.prefetch:
+                # Wave time overlaps compute: only demand stages feed the
+                # breakdown figures.
+                _inc(m, "ddstore.stage_seconds", job.stages.items(), "stage",
+                     rank=track, generation=gen)
+            if self._tiered:
+                tiers = self.cache.tier_counters()
+                for key, value in tiers.items():
+                    delta = value - self._tier_base.get(key, 0)
+                    if delta:
+                        tier, counter = key.split(".", 1)
+                        m.counter(
+                            "ddstore.tier", tier=tier, counter=counter, rank=track
+                        ).inc(delta)
+                self._tier_base = tiers
+            if self._tenant is not None:
+                tenant = (
+                    ("n_samples", n),
+                    ("fetch_seconds", job.engine.now - job.t_start),
+                    ("wire_bytes", counts["bytes_transferred"]),
+                    ("queue_seconds", job.stages.get("queue", 0.0)),
+                )
+                _inc(m, "ddstore.tenant", tenant, tenant=self._tenant,
+                     qos=self._qos or "default", rank=track)
+        if job.tracing:
+            self._span(span, job.t_start, cat="store", n=n, **span_args, **self._tenant_args())
+        return n
+
+    # ------------------------------------------------------------------
+    # replica failover
+    # ------------------------------------------------------------------
     def _reroute(self, read: PlannedRead, attempt: int) -> Optional[int]:
         """Failover target for a timed-out read: the same chunk's owner in
         another replica group, nearest first.
@@ -1974,29 +1560,6 @@ class DDStore:
                 fair_interleave=True,
             )
         return clone
-
-    def _publish_tenant(
-        self, m, track: int, n_samples: int, seconds: float,
-        wire_bytes: int, queue_seconds: float,
-    ) -> None:
-        """Roll this call up into the ``ddstore.tenant`` metric family
-        (labels: tenant, qos, counter, rank).  No-op on plain stores."""
-        if self._tenant is None:
-            return
-        for cname, val in (
-            ("n_samples", n_samples),
-            ("fetch_seconds", seconds),
-            ("wire_bytes", wire_bytes),
-            ("queue_seconds", queue_seconds),
-        ):
-            if val:
-                m.counter(
-                    "ddstore.tenant",
-                    tenant=self._tenant,
-                    qos=self._qos or "default",
-                    counter=cname,
-                    rank=track,
-                ).inc(val)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -2186,43 +1749,16 @@ class _StoreSource:
                         slices=(),
                     )
                 )
-        # The bulk reads go through the same resilience ladder as the
+        # The bulk reads go through the same wire-issue point as the
         # training-time fetch path: a reshard under a straggler/dark peer
         # retries and fails over instead of silently stitching None
-        # payloads into the new chunk.
+        # payloads into the new chunk (a reshard always runs on a lane-less
+        # store: the service reshards its parent).
         payloads: list = []
         if remote_reads:
-            res = store.config.resilience
-            if res.enabled:
-                reroute = (
-                    store._reroute
-                    if res.failover and store.n_replicas > 1
-                    else None
-                )
-                retry_out = yield from fetch_with_retry(
-                    store.transport,
-                    remote_reads,
-                    policy=RetryPolicy.from_options(res),
-                    engine=engine,
-                    n_streams=self.n_workers,
-                    reroute=reroute,
-                    obs=store.comm.communicator.world.obs,
-                    track=store.comm.world_rank,
-                )
-                outcome = retry_out.outcome
-                store.stats.n_timeouts += retry_out.n_timeouts
-                store.stats.n_retries += retry_out.n_retries
-                store.stats.n_failovers += retry_out.n_failovers
-            else:
-                outcome = yield from store.transport.fetch(
-                    remote_reads, n_streams=self.n_workers
-                )
-                timed_out = outcome.timed_out
-                if timed_out is not None and timed_out.any():
-                    raise FetchTimeoutError(
-                        f"{int(timed_out.sum())} bulk reshard read(s) timed "
-                        "out (resilience disabled; no retry budget)"
-                    )
+            outcome, *_ = yield from store._fetch_reads(
+                remote_reads, n_streams=self.n_workers
+            )
             payloads = outcome.payloads
         by_owner = dict(local_parts)
         by_owner.update({o: p for o, p in zip(remote_owners, payloads)})

@@ -148,26 +148,22 @@ class SpanCollector:
 
 
 def chrome_trace_events(
-    spans: Sequence[SpanRecord], marks: Sequence[tuple] = (), metadata: bool = True
+    spans: Sequence[SpanRecord], marks: Sequence[tuple] = ()
 ) -> list[dict]:
-    """Chrome trace events (``ph: X``/``i`` + lane metadata) for spans.
-
-    ``metadata=False`` suppresses the leading lane-name ``M`` events
-    (used by :class:`repro.sim.Tracer` for back-compat exports).
-    """
+    """Chrome trace events (``ph: X``/``i`` + lane metadata) for spans and
+    ``(time, label, track)`` marks."""
     events: list[dict] = []
-    if metadata:
-        lanes = sorted({s.lane for s in spans}) or [0]
-        for lane in lanes:
-            events.append(
-                dict(
-                    name="process_name",
-                    ph="M",
-                    pid=lane,
-                    tid=0,
-                    args={"name": _LANE_NAMES.get(lane, f"lane{lane}")},
-                )
+    lanes = sorted({s.lane for s in spans}) or [0]
+    for lane in lanes:
+        events.append(
+            dict(
+                name="process_name",
+                ph="M",
+                pid=lane,
+                tid=0,
+                args={"name": _LANE_NAMES.get(lane, f"lane{lane}")},
             )
+        )
     for s in spans:
         entry = dict(
             name=s.name,
@@ -181,9 +177,7 @@ def chrome_trace_events(
         if s.args:
             entry["args"] = dict(s.args)
         events.append(entry)
-    for mark in marks:
-        t, label = mark[0], mark[1]
-        track = mark[2] if len(mark) > 2 else 0
+    for t, label, track in marks:
         events.append(dict(name=label, ph="i", ts=t * 1e6, pid=0, tid=track, s="t"))
     return events
 

@@ -3,7 +3,6 @@
 from .engine import AllOf, AnyOf, Engine, Event, Interrupt, Process, SimulationError, Timeout
 from .resources import FluidStation, QueueStation, Request, Resource, RWLock, Store
 from .rng import RngRegistry, derive_seed, stream
-from .trace import Span, Tracer
 
 __all__ = [
     "Engine",
@@ -23,6 +22,4 @@ __all__ = [
     "RngRegistry",
     "stream",
     "derive_seed",
-    "Tracer",
-    "Span",
 ]

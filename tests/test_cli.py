@@ -29,16 +29,22 @@ def test_datasets_command(capsys):
 
 
 def test_run_unknown_experiment(capsys):
-    assert main(["run", "fig99"]) == 2
+    assert main(["bench", "fig99"]) == 2
     assert "unknown experiment" in capsys.readouterr().err
 
 
 def test_run_single_experiment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
-    assert main(["run", "table1"]) == 0
+    assert main(["bench", "table1"]) == 0
     assert os.path.exists(tmp_path / "table1.txt")
     assert "Table 1" in capsys.readouterr().out
+
+
+def test_run_spelling_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "table1"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_experiment_registry_complete():
@@ -72,15 +78,6 @@ def test_ablation_short_names_resolve(capsys):
     assert main(["ablation", "not-an-ablation"]) == 2
     err = capsys.readouterr().err
     assert "ablation-serving" in err  # listed as available
-
-
-def test_run_spelling_is_deprecated_but_works(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
-    assert main(["run", "table1"]) == 0
-    captured = capsys.readouterr()
-    assert "[deprecated]" in captured.err
-    assert "python -m repro bench" in captured.err
 
 
 def test_bench_spelling_prints_no_deprecation(tmp_path, monkeypatch, capsys):

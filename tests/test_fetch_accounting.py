@@ -9,7 +9,10 @@ Each test here fails against the pre-fix code:
   silently resurrected the old totals on the next fetch,
 * the reshard bulk path used to call ``transport.fetch`` directly —
   bypassing the retry/failover ladder and never checking
-  ``outcome.timed_out``, stitching ``None`` payloads into the new chunk.
+  ``outcome.timed_out``, stitching ``None`` payloads into the new chunk,
+* with resilience disabled, ``get_samples`` and ``prefetch_wave`` used to
+  crash with a ``TypeError`` on a timed-out read (the reshard path raised
+  ``FetchTimeoutError``); every path now raises ``FetchTimeoutError``.
 """
 
 import numpy as np
@@ -219,3 +222,35 @@ def test_reshard_bulk_path_raises_when_resilience_disabled():
     # Pre-fix: ``outcome.timed_out`` was never checked and the reshard
     # crashed later (or corrupted the new chunk) instead of failing loudly.
     assert all(r == "raised" for r in job.results)
+
+
+def _first_fetch_times_out(fetch):
+    """Run ``fetch(store)`` on a resilience-less store whose first wire
+    read times out; report whether it raised FetchTimeoutError."""
+
+    def main(ctx):
+        store = yield from DDStore.create(
+            ctx.comm, _source(ctx), dataplane=DataPlaneOptions(cache_bytes=1 << 20)
+        )
+        store.transport = FlakyOnce(store.transport, ctx.comm.engine)
+        try:
+            yield from fetch(store)
+        except FetchTimeoutError:
+            return "raised"
+        return "silently accepted timed-out reads"
+
+    return run(main).results
+
+
+def test_get_samples_raises_when_resilience_disabled():
+    # Pre-fix: the timed-out reads' None payloads crashed the demand path
+    # with a TypeError instead of the reshard path's FetchTimeoutError.
+    results = _first_fetch_times_out(lambda store: store.get_samples(range(N)))
+    assert all(r == "raised" for r in results)
+
+
+def test_prefetch_wave_raises_when_resilience_disabled():
+    results = _first_fetch_times_out(
+        lambda store: store.prefetch_wave([range(N // 2), range(N // 2, N)])
+    )
+    assert all(r == "raised" for r in results)

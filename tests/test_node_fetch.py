@@ -10,6 +10,7 @@ layer.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import client
@@ -28,6 +29,7 @@ from repro.graphs import IsingGenerator
 from repro.hardware import TESTBOX
 from repro.mpi import run_world
 from repro.mpi.comm import World
+from repro.obs import Observer
 
 
 def run(fn, n_nodes=2, **kw):
@@ -306,3 +308,45 @@ def test_node_fetch_tenant_byte_isolation():
                 "bytes_transferred",
             ):
                 assert counters[key] == solo_counters[key], (t, key)
+
+
+def test_node_fetch_tenant_queue_seconds_reach_the_tenant_metric():
+    # Regression: node-aggregated waves published 0 s of DRR queue wait to
+    # the ``ddstore.tenant`` metric while the lanes and FetchStats recorded
+    # it.  Tight in-flight caps make the two batch tenants queue.
+    opts = DataPlaneOptions(
+        cache_bytes=1 << 20, scheduler=True, prefetch_depth=4, node_fetch=True
+    )
+    serving = ServingOptions(
+        max_tenants=2,
+        target_inflight_bytes=4096,
+        drr_quantum_bytes=2048,
+        max_inflight_bytes=4096,
+    )
+
+    def main(ctx):
+        service = yield from client.serve(
+            ctx.comm, _source(ctx), dataplane=opts, serving=serving
+        )
+        sessions = [service.connect(t, qos="batch") for t in ("a", "b")]
+        procs = [
+            ctx.engine.process(_tenant_epoch(ctx, s, seed), name=s.name)
+            for s, seed in zip(sessions, (10, 11))
+        ]
+        yield ctx.engine.all_of(procs)
+        stats_queue = sum(
+            s.stats.stage_seconds.get("queue", 0.0)
+            + s.stats.prefetch_stage_seconds.get("queue", 0.0)
+            for s in sessions
+        )
+        return sum(s.lane.queue_seconds for s in sessions), stats_queue
+
+    world = World(TESTBOX, 2, seed=0)
+    world.attach_observer(Observer(trace=False))
+    job = run(main, world=world)
+    lane_seconds = sum(lane for lane, _ in job.results)
+    stats_seconds = sum(stats for _, stats in job.results)
+    metric = world.obs.metrics.total("ddstore.tenant", counter="queue_seconds")
+    assert lane_seconds > 0
+    assert stats_seconds == pytest.approx(lane_seconds)
+    assert metric == pytest.approx(lane_seconds)

@@ -1,4 +1,4 @@
-"""Tests for the simulation tracer and model checkpointing."""
+"""Tests for the virtual-time span tracer and model checkpointing."""
 
 import numpy as np
 import pytest
@@ -12,23 +12,23 @@ from repro.gnn.checkpoint import (
 )
 from repro.graphs import IsingGenerator, collate
 from repro.hardware import ParallelFileSystem, TESTBOX
+from repro.obs import SpanCollector, validate_chrome_trace
 from repro.sim import Engine
-from repro.sim.trace import Tracer
 from repro.storage import VirtualFS
 
 
 # ---------------------------------------------------------------------------
-# tracer
+# tracer (the observability layer's SpanCollector)
 # ---------------------------------------------------------------------------
 
 def test_tracer_records_span_extent():
     eng = Engine()
-    tracer = Tracer(eng)
+    tracer = SpanCollector(eng)
 
     def proc():
-        with tracer.span("work", rank=3):
+        with tracer.span("work", cat="store", track=3, lane=1, n=4):
             yield eng.timeout(2.5)
-        tracer.mark("done")
+        tracer.mark("done", track=3)
 
     eng.process(proc())
     eng.run()
@@ -36,63 +36,68 @@ def test_tracer_records_span_extent():
     s = tracer.spans[0]
     assert (s.name, s.start, s.end) == ("work", 0.0, 2.5)
     assert s.duration == 2.5
-    assert dict(s.meta) == {"rank": 3}
-    assert tracer.marks == [(2.5, "done")]
+    assert (s.cat, s.track, s.lane) == ("store", 3, 1)
+    assert dict(s.args) == {"n": 4}
+    assert tracer.marks == [(2.5, "done", 3)]
 
 
 def test_tracer_totals_and_by_name():
     eng = Engine()
-    tracer = Tracer(eng)
+    tracer = SpanCollector(eng)
 
     def proc():
         for _ in range(3):
-            with tracer.span("load"):
+            with tracer.span("load", cat="store", track=1):
                 yield eng.timeout(1.0)
-            with tracer.span("compute"):
+            with tracer.span("compute", cat="trainer", track=0):
                 yield eng.timeout(2.0)
 
     eng.process(proc())
     eng.run()
     assert tracer.total("load") == pytest.approx(3.0)
-    assert tracer.by_name() == {"load": pytest.approx(3.0), "compute": pytest.approx(6.0)}
+    assert tracer.total("compute") == pytest.approx(6.0)
+    assert [s.name for s in tracer.by_cat("store")] == ["load"] * 3
+    assert tracer.tracks() == [0, 1]
 
 
 def test_tracer_render_and_chrome_export():
     eng = Engine()
-    tracer = Tracer(eng)
+    tracer = SpanCollector(eng)
 
     def proc():
-        with tracer.span("alpha", rank=1):
+        with tracer.span("alpha", track=1):
             yield eng.timeout(0.001)
+        tracer.mark("beta", track=2)
 
     eng.process(proc())
     eng.run()
-    text = tracer.render()
-    assert "alpha" in text and "ms" in text
-    events = tracer.to_chrome_trace()
-    assert events[0]["name"] == "alpha"
-    assert events[0]["ph"] == "X"
-    assert events[0]["dur"] == pytest.approx(1000.0)  # us
-    assert events[0]["tid"] == 1
+    doc = tracer.to_chrome()
+    assert validate_chrome_trace(doc) == []
+    (span,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+    assert span["name"] == "alpha"
+    assert span["dur"] == pytest.approx(1000.0)  # us
+    assert span["tid"] == 1
+    (mark,) = [e for e in doc["traceEvents"] if e["ph"] == "i"]
+    assert (mark["name"], mark["tid"]) == ("beta", 2)
+    assert mark["ts"] == pytest.approx(1000.0)
 
 
 def test_tracer_drops_beyond_max_events():
-    eng = Engine()
-    tracer = Tracer(eng, max_events=2)
+    tracer = SpanCollector(Engine(), max_events=2)
     for _ in range(5):
         tracer.mark("m")
     assert len(tracer.marks) == 2
-    assert "dropped" in tracer.render()
+    assert tracer.dropped == 3
 
 
 def test_tracer_manual_begin_end():
     eng = Engine()
-    tracer = Tracer(eng)
+    tracer = SpanCollector(eng)
 
     def proc():
-        t0 = tracer.begin("manual")
+        t0 = tracer.now
         yield eng.timeout(4.0)
-        tracer.end("manual", t0)
+        tracer.record("manual", start=t0, end=tracer.now)
 
     eng.process(proc())
     eng.run()
